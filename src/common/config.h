@@ -35,7 +35,8 @@ struct ProcessConfig {
   /// run as an explicit decision, and even a parked timer would jump the
   /// clock (and thus every grace/expiry guard) when executed.
   bool periodic_collectors_enabled = true;
-  /// Period between local GC runs (each run also emits NewSetStubs).
+  /// Period between local GC runs (each run also emits the NewSetStubs that
+  /// are due: changed listings, young stubs, expired leases).
   SimTime lgc_period_us = 20'000;
   /// AddScion handshake retry interval (message-loss tolerance).
   SimTime add_scion_retry_us = 5'000;
@@ -49,9 +50,8 @@ struct ProcessConfig {
   /// is ever suspected and nothing is shed — the pre-adaptive baseline the
   /// chaos harness compares against.
   bool adaptive_faults = true;
-  /// Cap on exponentially backed-off retry delays (AddScion re-sends and
-  /// NewSetStubs deferral to suspected peers). The base of each series is
-  /// its fixed interval (`add_scion_retry_us`, `lgc_period_us`).
+  /// Cap on exponentially backed-off AddScion re-send delays (the base is
+  /// the fixed interval `add_scion_retry_us`).
   SimTime backoff_cap_us = 200'000;
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
@@ -66,10 +66,9 @@ struct ProcessConfig {
   /// Lower bound on the RTT used by the accrual test (guards against a few
   /// lucky fast samples making the detector hair-triggered).
   SimTime suspect_rtt_floor_us = 2'000;
-  /// Bound on the sender-side outgoing window per peer (messages sent since
-  /// the peer was last heard from). Above it, CDMs to that peer are shed;
-  /// above twice it, NewSetStubs are too. Invocations, replies and the
-  /// AddScion handshake are never shed. 0 disables shedding.
+  /// Bound on the unanswered window per peer (answer-expecting messages
+  /// sent since the peer was last heard from). Above it, CDMs to a suspected
+  /// peer are shed; nothing else is. 0 disables shedding.
   std::uint32_t peer_outstanding_limit = 128;
 
   // --- permanent-failure eviction ---
@@ -87,9 +86,11 @@ struct ProcessConfig {
   /// 0 disables pruning.
   SimTime peer_health_idle_prune_us = 600'000'000;
 
-  /// Grace period protecting a *pending* (never yet confirmed by its holder)
-  /// scion from NewSetStubs deletion while the reference may still be in
-  /// flight toward the holder.
+  /// Grace period protecting a never-listed scion from NewSetStubs deletion
+  /// while the reference (or a listing built before it was installed) may
+  /// still be in flight toward the holder. Also the NewSetStubs lease: a
+  /// holder re-sends an unchanged listing after this long, and an owner
+  /// solicits a holder of confirmed scions silent for two of them.
   SimTime scion_pending_grace_us = 300'000;
   /// Owner-side expiry of never-confirmed scions, as a multiple of the
   /// grace period. Covers references whose delivery was lost outright (the

@@ -1,5 +1,7 @@
 #include "src/dgc/scion_table.h"
 
+#include <algorithm>
+
 namespace adgc {
 
 ScionEntry& ScionTable::ensure(RefId ref, ProcessId holder, ObjectSeq target, SimTime now) {
@@ -33,15 +35,35 @@ std::vector<RefId> ScionTable::refs_from_holder(ProcessId holder) const {
 }
 
 std::uint64_t ScionTable::last_export_seq(ProcessId holder) const {
-  auto it = export_seq_.find(holder);
-  return it == export_seq_.end() ? 0 : it->second;
+  auto it = holders_.find(holder);
+  return it == holders_.end() ? 0 : it->second.export_seq;
 }
 
-bool ScionTable::accept_export_seq(ProcessId holder, std::uint64_t seq) {
-  std::uint64_t& cur = export_seq_[holder];
-  if (seq <= cur) return false;
-  cur = seq;
+bool ScionTable::accept_export_seq(ProcessId holder, std::uint64_t seq, SimTime now) {
+  HolderState& h = holders_[holder];
+  if (seq <= h.export_seq) return false;
+  h.export_seq = seq;
+  h.last_nss = now;
   return true;
+}
+
+std::vector<ProcessId> ScionTable::quiet_holders(SimTime now, SimTime silence) const {
+  std::map<ProcessId, SimTime> since;  // holder -> oldest confirmed scion
+  for (const auto& [ref, e] : entries_) {
+    (void)ref;
+    if (!e.confirmed || e.holder == kNoProcess) continue;
+    auto [it, fresh] = since.try_emplace(e.holder, e.created_at);
+    if (!fresh && e.created_at < it->second) it->second = e.created_at;
+  }
+  std::vector<ProcessId> out;
+  for (const auto& [holder, oldest] : since) {
+    SimTime baseline = oldest;
+    if (auto it = holders_.find(holder); it != holders_.end()) {
+      baseline = std::max(baseline, it->second.last_nss);
+    }
+    if (now >= baseline + silence) out.push_back(holder);
+  }
+  return out;
 }
 
 }  // namespace adgc

@@ -8,10 +8,18 @@
 // Confirmation state machine (loss/reorder safety of NewSetStubs):
 //   pending   — created, the holder process has never mentioned the ref yet.
 //               Deletable by NewSetStubs only after a grace period (covers
-//               the window where the reference is still in flight).
-//   confirmed — the holder invoked through the ref or listed it in a
-//               NewSetStubs; from then on NewSetStubs from the holder is
-//               authoritative (stale messages are rejected by export_seq).
+//               the window where the reference is still in flight), and
+//               expired by the owner after grace × expiry factor.
+//   confirmed — the holder invoked through the ref: it demonstrably arrived,
+//               so the owner-side expiry no longer applies. NewSetStubs
+//               absence still deletes it only after the grace period — an
+//               invocation says nothing about how old a NewSetStubs is, and
+//               one built before the holder installed the stub may arrive
+//               after the invocation with a fresh export_seq.
+//   listed    — some accepted NewSetStubs named the ref (implies confirmed);
+//               from then on NewSetStubs from the holder is authoritative
+//               (the holder had the stub when it built the listing message,
+//               and stale messages are rejected by export_seq).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +40,7 @@ struct ScionEntry {
   /// Invocation counter mirror of the stub's.
   std::uint64_t ic = 0;
   bool confirmed = false;
+  bool listed = false;
   SimTime created_at = 0;
   /// Last time `ic` changed; drives the DCDA candidate quarantine.
   SimTime last_ic_change = 0;
@@ -62,17 +71,30 @@ class ScionTable {
   std::uint64_t last_export_seq(ProcessId holder) const;
   /// Records an accepted export_seq; returns false if `seq` is stale
   /// (≤ the recorded one), in which case the message must be ignored.
-  bool accept_export_seq(ProcessId holder, std::uint64_t seq);
+  /// `now` stamps the holder's last accepted NewSetStubs.
+  bool accept_export_seq(ProcessId holder, std::uint64_t seq, SimTime now);
+
+  /// Holders of confirmed scions that have had no NewSetStubs accepted for
+  /// `silence` (measured from the later of that message and the oldest such
+  /// scion's creation). A live holder leases its listing at least every
+  /// grace period, so these are the ones whose last message — typically the
+  /// empty set that retired us as a contact — may have been lost.
+  std::vector<ProcessId> quiet_holders(SimTime now, SimTime silence) const;
 
   /// Drops all per-holder bookkeeping (the export_seq watermark) for an
   /// evicted peer. Its fresh incarnation restarts the series from an
   /// incarnation-epoched value that sorts above everything anyway; keeping
   /// the entry would only leak a map slot per evicted peer.
-  void forget_holder(ProcessId holder) { export_seq_.erase(holder); }
+  void forget_holder(ProcessId holder) { holders_.erase(holder); }
 
  private:
+  struct HolderState {
+    std::uint64_t export_seq = 0;
+    SimTime last_nss = 0;  // when the newest accepted NewSetStubs arrived
+  };
+
   std::map<RefId, ScionEntry> entries_;  // ordered: deterministic iteration
-  std::map<ProcessId, std::uint64_t> export_seq_;
+  std::map<ProcessId, HolderState> holders_;
 };
 
 }  // namespace adgc

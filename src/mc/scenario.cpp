@@ -199,6 +199,94 @@ class EvictScenario final : public Scenario {
   RefId h_to_x_ = kNoRef;
 };
 
+// ---------------------------------------------------------------- nss
+
+// Reference listing under NewSetStubs loss and reordering, checked by the
+// scion-stub-backing half of the safety oracle (a live holder's stub must
+// keep its owner-side scion). P0 roots x, which references h on P1 and
+// locally X; P1 roots h, which references y on P0 — so P0 is already P1's
+// listing contact when the script races a fresh reference into it:
+//   0. P0 invokes h passing its own object X (kStoreArgs): P0 creates a
+//      pending scion for X, P1 installs the stub when the call lands;
+//   1. P1 invokes X through that stub (when installed), confirming the
+//      scion by invocation — the install/invoke/NewSetStubs race: a listing
+//      P1 built before the install may arrive after the invocation with a
+//      fresh export_seq, and must not delete the confirmed scion;
+//   2. P1 drops h → y, changing its listing toward P0;
+//   3. P1 unroots h; 4. P0 unroots x — everything becomes acyclic garbage,
+//      collectable only if P1's final empty listing reaches P0 after the
+//      pending grace, i.e. only if contact retirement waits long enough.
+// The build ages the initial stubs past the grace period, so an early empty
+// listing may retire P1's contact during exploration and a late install
+// must readmit it. Non-FIFO links reorder listings freely; a loss budget
+// drops them.
+class NssScenario final : public Scenario {
+ public:
+  ScenarioKind kind() const override { return ScenarioKind::kNss; }
+  std::size_t num_procs() const override { return 2; }
+  void build(Runtime& rt) override {
+    x_ = ObjectId{0, rt.proc(0).create_object()};
+    y_ = ObjectId{0, rt.proc(0).create_object()};
+    big_x_ = ObjectId{0, rt.proc(0).create_object()};
+    h_ = ObjectId{1, rt.proc(1).create_object()};
+    rt.proc(0).add_local_ref(x_.seq, big_x_.seq);  // live until exported
+    x_to_h_ = rt.link(x_, h_);
+    h_to_y_ = rt.link(h_, y_);
+    rt.proc(0).add_root(x_.seq);
+    rt.proc(1).add_root(h_.seq);
+    baseline_snapshots(rt);
+    rt.run_until(rt.now() + 2 * rt.config().proc.scion_pending_grace_us);
+  }
+  std::size_t script_size() const override { return 5; }
+  void apply_script(Runtime& rt, std::size_t step) override {
+    switch (step) {
+      case 0:
+        rt.proc(0).invoke(x_.seq, x_to_h_, InvokeEffect::kStoreArgs,
+                          {ArgRef::own(big_x_.seq)});
+        break;
+      case 1:
+        if (const RefId r = installed(rt); r != kNoRef) {
+          rt.proc(1).invoke(h_.seq, r, InvokeEffect::kTouch);
+        }
+        break;
+      case 2:
+        rt.proc(1).remove_remote_ref(h_.seq, h_to_y_);
+        break;
+      case 3:
+        rt.proc(1).remove_root(h_.seq);
+        break;
+      default:
+        rt.proc(0).remove_root(x_.seq);
+        break;
+    }
+  }
+  ProcessId script_proc(std::size_t step) const override {
+    return step == 0 || step == 4 ? 0 : 1;
+  }
+  std::size_t expected_survivors() const override { return 0; }
+  /// A finite pending-scion expiry (500 ms at the mc grace of 10 ms): far
+  /// beyond any exploration horizon, so every explored listing still races
+  /// the pending scions, but inside the settle phase's clock hops. A
+  /// listing may overtake the kStoreArgs call on the non-FIFO link and
+  /// delete h's scion, so the call is dropped and X's pending scion is
+  /// orphaned — only the expiry reclaims it, as in production.
+  void tune_config(RuntimeConfig& cfg) const override {
+    cfg.proc.scion_pending_expiry_factor = 50;
+  }
+
+ private:
+  /// P1's stub for X once the kStoreArgs call has installed it.
+  RefId installed(const Runtime& rt) const {
+    for (const auto& [ref, stub] : rt.proc(1).stubs()) {
+      if (stub.target == big_x_) return ref;
+    }
+    return kNoRef;
+  }
+
+  ObjectId x_, y_, big_x_, h_;
+  RefId x_to_h_ = kNoRef, h_to_y_ = kNoRef;
+};
+
 }  // namespace
 
 const char* scenario_name(ScenarioKind kind) {
@@ -209,6 +297,7 @@ const char* scenario_name(ScenarioKind kind) {
     case ScenarioKind::kFig5: return "fig5";
     case ScenarioKind::kRace: return "race";
     case ScenarioKind::kEvict: return "evict";
+    case ScenarioKind::kNss: return "nss";
   }
   return "?";
 }
@@ -220,6 +309,7 @@ std::optional<ScenarioKind> parse_scenario(const std::string& name) {
   if (name == "fig5") return ScenarioKind::kFig5;
   if (name == "race") return ScenarioKind::kRace;
   if (name == "evict") return ScenarioKind::kEvict;
+  if (name == "nss") return ScenarioKind::kNss;
   return std::nullopt;
 }
 
@@ -231,6 +321,7 @@ std::unique_ptr<Scenario> make_scenario(ScenarioKind kind) {
     case ScenarioKind::kFig5: return std::make_unique<Fig5Scenario>();
     case ScenarioKind::kRace: return std::make_unique<RaceScenario>();
     case ScenarioKind::kEvict: return std::make_unique<EvictScenario>();
+    case ScenarioKind::kNss: return std::make_unique<NssScenario>();
   }
   return nullptr;
 }

@@ -5,7 +5,8 @@
 // schedule, so a (scenario, seed, decision list) triple reproduces a run
 // bit-for-bit. Most scenarios wrap the paper's figures (sim/scenarios.h);
 // `race` is the Fig. 2 mutator-vs-DCDA race in its minimal three-process
-// form — the scenario the planted-bug self-test runs on.
+// form — the scenario the planted-bug self-test runs on; `nss` is the
+// acyclic reference-listing protocol under NewSetStubs loss and reordering.
 #pragma once
 
 #include <memory>
@@ -17,7 +18,7 @@
 
 namespace adgc::mc {
 
-enum class ScenarioKind { kFig1, kFig3, kFig4, kFig5, kRace, kEvict };
+enum class ScenarioKind { kFig1, kFig3, kFig4, kFig5, kRace, kEvict, kNss };
 
 const char* scenario_name(ScenarioKind kind);
 std::optional<ScenarioKind> parse_scenario(const std::string& name);

@@ -14,11 +14,12 @@ SimTime backoff_delay(SimTime base_us, SimTime cap_us, int attempt, Rng& rng) {
   return half + rng.below(std::max<SimTime>(d - half, 1));
 }
 
-void PeerHealthTracker::on_send(ProcessId peer, SimTime now) {
+void PeerHealthTracker::on_send(ProcessId peer, SimTime now, bool expects_answer) {
   Peer& p = slot(peer);
+  p.last_activity = now;
+  if (!expects_answer) return;
   if (p.outstanding == 0) p.window_start = now;
   if (p.outstanding < ~std::uint32_t{0}) ++p.outstanding;
-  p.last_activity = now;
 }
 
 void PeerHealthTracker::on_heard(ProcessId peer, SimTime now) {
@@ -61,13 +62,14 @@ void PeerHealthTracker::on_timeout(ProcessId peer, SimTime now) {
 
 bool PeerHealthTracker::compute_suspected(const Peer& p, SimTime now) const {
   if (p.consecutive_failures >= cfg_.suspect_after_failures) return true;
-  // Accrual half: only while we are actively trying to reach the peer, and
-  // only once the peer has been heard from at least once — phi over an RTT
+  // Accrual half: only while we await an answer from the peer, and only
+  // once the peer has been heard from at least once — phi over an RTT
   // we never observed is noise, and treating every cold peer as suspect
   // measurably delays collection (the failure-count half above covers peers
   // that are down from the start, via explicit retry timeouts). Silence is
-  // measured from when the current unanswered window opened (the first send
-  // after the peer was last heard), never across idle gaps.
+  // measured from when the current unanswered window opened (the first
+  // answer-expecting send after the peer was last heard), never across idle
+  // gaps or one-way traffic.
   if (p.outstanding == 0) return false;
   if (p.last_heard == 0) return false;
   const SimTime baseline = std::max(p.last_heard, p.window_start);

@@ -10,13 +10,14 @@
 //                    ∨  (outstanding > 0 ∧ silence > phi · max(srtt, floor))
 //
 // where `silence` is the time since the peer was last heard from and
-// `outstanding` counts messages sent to the peer since then (so an idle but
-// healthy peer is never suspected — accrual only runs while we are actually
-// trying to talk to it).
+// `outstanding` counts sends since then that expect an answer (an invocation
+// wanting a reply, an AddScion, an NssSolicit). One-way traffic — NewSetStubs
+// and CDMs, which a healthy peer never answers — does not count, so an idle
+// or purely one-way-addressed peer is never suspected: accrual only runs
+// while we are actually waiting for the peer to say something.
 //
-// The tracker also carries the per-peer outgoing-window bound used for
-// priority load shedding: `outstanding` is the sender-side estimate of
-// queued/in-flight traffic toward the peer, reset by any sign of life.
+// The same unanswered window carries the per-peer bound used for priority
+// load shedding, reset by any sign of life.
 // Everything is deterministic; the backoff jitter draws from the caller's
 // seeded Rng.
 #pragma once
@@ -52,14 +53,16 @@ class PeerHealthTracker {
     /// Last time anything arrived from the peer (0 = never).
     SimTime last_heard = 0;
     /// When the current unanswered-send window opened: the timestamp of the
-    /// first on_send() after the peer was last heard from (0 = no window).
+    /// first answer-expecting on_send() after the peer was last heard from
+    /// (0 = no window).
     /// The accrual baseline is max(last_heard, window_start) — NOT plain
     /// last_heard — so that under wall clocks (where `now` never restarts at
     /// 0) a long-idle peer is not declared silent the instant we resume
     /// sending to it.
     SimTime window_start = 0;
-    /// Messages sent to the peer since it was last heard from — the
-    /// sender-side outgoing-window estimate the shedding bound applies to.
+    /// Answer-expecting messages sent to the peer since it was last heard
+    /// from — the unanswered window the accrual runs on and the shedding
+    /// bound applies to.
     std::uint32_t outstanding = 0;
     /// Sticky flag for metrics: whether the last verdict was "suspected".
     /// Cleared by any sign of life, so a recovered peer leaves the
@@ -79,8 +82,9 @@ class PeerHealthTracker {
       : cfg_(cfg), metrics_(metrics) {}
 
   /// A message was handed to the transport for `peer` at time `now` (take
-  /// it from Env::now(); it anchors the suspicion accrual window).
-  void on_send(ProcessId peer, SimTime now);
+  /// it from Env::now()). Only one that `expects_answer` grows the
+  /// unanswered window; a one-way send just marks the slot active.
+  void on_send(ProcessId peer, SimTime now, bool expects_answer);
 
   /// Anything arrived from `peer` (liveness signal: resets the failure count
   /// and the outgoing window).
@@ -97,14 +101,14 @@ class PeerHealthTracker {
   /// suspect-transition counter, so call sites need no extra bookkeeping.
   bool suspected(ProcessId peer, SimTime now);
 
-  /// Accrual value: silence toward an actively-contacted peer, in units of
-  /// the smoothed RTT (0 when idle or never contacted). Diagnostics.
+  /// Accrual value: silence toward a peer we await an answer from, in units
+  /// of the smoothed RTT (0 when nothing is awaited). Diagnostics.
   double phi(ProcessId peer, SimTime now) const;
 
   /// Smoothed RTT estimate (0 when no sample yet).
   double srtt_us(ProcessId peer) const;
 
-  /// Sender-side outgoing-window estimate toward `peer`.
+  /// Unanswered answer-expecting sends toward `peer`.
   std::uint32_t outstanding(ProcessId peer) const;
 
   std::uint32_t consecutive_failures(ProcessId peer) const;

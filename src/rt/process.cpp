@@ -85,30 +85,35 @@ void Process::dcda_tick() {
   env_.schedule(cfg_.dcda_scan_period_us, [this] { dcda_tick(); });
 }
 
+namespace {
+
+/// Whether a healthy peer answers `msg`: only these sends open the failure
+/// detector's unanswered window. NewSetStubs and CDMs are one-way — a pure
+/// owner never answers them.
+bool expects_answer(const MessagePayload& msg) {
+  if (const auto* inv = std::get_if<InvokeMsg>(&msg)) return inv->want_reply;
+  return std::holds_alternative<AddScionMsg>(msg) ||
+         std::holds_alternative<NssSolicitMsg>(msg);
+}
+
+}  // namespace
+
 void Process::send(ProcessId dst, const MessagePayload& msg) {
   // Priority load shedding: when the outgoing window toward a *suspected*
-  // peer is full, shed CDMs first, then NewSetStubs. Both protocols are
-  // loss-tolerant (a shed CDM times out at the initiator and is retried; a
-  // shed NSS is superseded by the next full-state re-send), so shedding can
-  // only delay collection, never corrupt it. Invocations, replies and the
-  // AddScion handshake are never shed.
-  if (cfg_.adaptive_faults && cfg_.peer_outstanding_limit > 0) {
-    const std::uint32_t window = peer_health_.outstanding(dst);
-    if (window >= cfg_.peer_outstanding_limit && peer_health_.suspected(dst, env_.now())) {
-      if (std::holds_alternative<CdmMsg>(msg)) {
-        metrics().cdms_shed.add();
-        ADGC_TRACE("P" << pid_ << " shedding CDM to suspected P" << dst);
-        return;
-      }
-      if (window >= 2 * cfg_.peer_outstanding_limit &&
-          std::holds_alternative<NewSetStubsMsg>(msg)) {
-        metrics().new_set_stubs_shed.add();
-        ADGC_TRACE("P" << pid_ << " shedding NewSetStubs to suspected P" << dst);
-        return;
-      }
-    }
+  // peer is full, shed CDMs. The detection is loss-tolerant (a shed CDM
+  // times out at the initiator and is retried), so shedding can only delay
+  // collection, never corrupt it. Everything else is never shed here:
+  // NewSetStubs toward an owner already leaves at most once per lease once
+  // the listing stops changing.
+  if (cfg_.adaptive_faults && cfg_.peer_outstanding_limit > 0 &&
+      std::holds_alternative<CdmMsg>(msg) &&
+      peer_health_.outstanding(dst) >= cfg_.peer_outstanding_limit &&
+      peer_health_.suspected(dst, env_.now())) {
+    metrics().cdms_shed.add();
+    ADGC_TRACE("P" << pid_ << " shedding CDM to suspected P" << dst);
+    return;
   }
-  peer_health_.on_send(dst, env_.now());
+  peer_health_.on_send(dst, env_.now(), expects_answer(msg));
   // Control-plane coalescing: batchable kinds (CDM, NewSetStubs,
   // AddScionAck) queue into the peer's open batch; anything else is
   // latency-critical and flushes that batch first, preserving the relative
@@ -313,7 +318,7 @@ RefId Process::install_ref(ObjectSeq from, const ExportedRef& ref) {
   StubEntry& stub = stubs_.ensure(ref.ref, ref.target, env_.now());
   if (fresh) {
     metrics().stubs_created.add();
-    contacts_.insert(ref.target.owner);
+    nss_pacer_.note_stub(ref.target.owner, env_.now());
   }
   ++stub.holders;
   heap_.add_remote_field(from, ref.ref);
@@ -619,6 +624,7 @@ void Process::run_lgc() {
   const auto wall_start = std::chrono::steady_clock::now();
   const SimTime vt_start = env_.now();
   if (cfg_.dgc_enabled && cfg_.peer_death_timeout_us > 0) maybe_evict_peers();
+  if (cfg_.dgc_enabled) solicit_quiet_holders();
   if (cfg_.peer_health_idle_prune_us > 0) {
     const std::size_t pruned =
         peer_health_.prune_idle(env_.now(), cfg_.peer_health_idle_prune_us);
@@ -659,38 +665,11 @@ void Process::run_lgc() {
              static_cast<std::uint64_t>(res.objects_reclaimed),
              static_cast<std::uint64_t>(env_.now() - vt_start)});
   if (!cfg_.dgc_enabled) return;
-  // One stub-table pass builds the payload for every contact (the per-peer
-  // batcher then coalesces each NSS with whatever control traffic is already
-  // queued toward that peer).
-  std::map<ProcessId, NewSetStubsMsg> all_nss =
-      build_all_new_set_stubs(stubs_, contacts_);
+  // One stub-table pass builds the listing for every contact that is due
+  // (the per-peer batcher then coalesces each NSS with whatever control
+  // traffic is already queued toward that peer).
   std::uint64_t nss_sent = 0;
-  for (ProcessId dst : contacts_) {
-    if (cfg_.adaptive_faults) {
-      // Toward a suspected peer, space the periodic NSS re-sends out
-      // exponentially instead of hammering every LGC period. NSS is an
-      // idempotent full-state replacement, so deferral only delays acyclic
-      // collection at the peer — it cannot lose state.
-      NssGate& gate = nss_gates_[dst];
-      if (peer_health_.suspected(dst, env_.now())) {
-        if (env_.now() < gate.next_ok) {
-          metrics().new_set_stubs_deferred.add();
-          continue;
-        }
-        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, cfg_.backoff_cap_us,
-                                              static_cast<int>(gate.level), env_.rng());
-        gate.next_ok = env_.now() + spacing;
-        if (gate.level < 16) ++gate.level;
-      } else {
-        gate.level = 0;
-        gate.next_ok = 0;
-      }
-    }
-    // The export sequence is epoch-stamped with the incarnation so the first
-    // message after a restart (local counter back at 1) still sorts above
-    // everything the lost incarnation sent.
-    NewSetStubsMsg& msg = all_nss.at(dst);
-    msg.export_seq = incarnation_epoch(incarnation_, ++nss_seq_[dst]);
+  for (auto& [dst, msg] : nss_pacer_.due(stubs_, env_.now(), incarnation_)) {
     metrics().new_set_stubs_sent.add();
     ++nss_sent;
     send(dst, msg);
@@ -799,7 +778,7 @@ bool Process::recover_from_store() {
   // of references we no longer hold will expire the orphan scions themselves.
   for (const auto& [ref, stub] : stubs_) {
     (void)ref;
-    contacts_.insert(stub.target.owner);
+    nss_pacer_.note_stub(stub.target.owner, env_.now());
   }
   // The restored live state IS the state this snapshot describes, so handing
   // its summary to the detector keeps in-flight detections consistent.
@@ -835,17 +814,26 @@ void Process::on_evicted_nack(ProcessId src, const EvictedNackMsg& msg) {
 
 void Process::on_nss_solicit(ProcessId src) {
   if (!cfg_.dgc_enabled) return;
-  // Answer unconditionally and immediately, bypassing the suspected-peer
-  // NSS deferral gate: the solicitor is about to convict us on silence, and
-  // an empty set is as meaningful an answer as a full one — it expires
-  // every scion we no longer (or never) back, e.g. after we restarted from
-  // a snapshot predating the stubs.
-  std::map<ProcessId, NewSetStubsMsg> reply =
-      build_all_new_set_stubs(stubs_, {src});
-  NewSetStubsMsg& msg = reply.at(src);
-  msg.export_seq = incarnation_epoch(incarnation_, ++nss_seq_[src]);
+  // Answer unconditionally and immediately, whatever the cadence says: the
+  // solicitor may have lost our last message (or be about to convict us on
+  // silence), and an empty set is as meaningful an answer as a full one — it
+  // expires every scion we no longer (or never) back, e.g. after we
+  // restarted from a snapshot predating the stubs.
   metrics().new_set_stubs_sent.add();
-  send(src, msg);
+  send(src, nss_pacer_.listing_for(stubs_, src, env_.now(), incarnation_));
+}
+
+void Process::solicit_quiet_holders() {
+  const SimTime now = env_.now();
+  const SimTime quiet = 2 * cfg_.scion_pending_grace_us;
+  for (ProcessId holder : scions_.quiet_holders(now, quiet)) {
+    if (holder == pid_ || peer_health_.evicted_incarnation(holder)) continue;
+    const auto probe = nss_solicits_.find(holder);
+    if (probe != nss_solicits_.end() && now < probe->second + quiet) continue;
+    metrics().nss_solicits_sent.add();
+    send(holder, NssSolicitMsg{});
+    nss_solicits_[holder] = now;
+  }
 }
 
 void Process::maybe_evict_peers() {
@@ -971,9 +959,7 @@ void Process::evict_peer(ProcessId peer) {
 
   // 5. Reference-listing and transport-side state toward the peer, so
   //    survivor memory stays bounded under churn.
-  contacts_.erase(peer);
-  nss_seq_.erase(peer);
-  nss_gates_.erase(peer);
+  nss_pacer_.forget(peer);
   nss_solicits_.erase(peer);
   for (auto it = inflight_calls_.begin(); it != inflight_calls_.end();) {
     it = it->second.first == peer ? inflight_calls_.erase(it) : ++it;

@@ -227,15 +227,6 @@ class Process {
     SimTime last_sent = 0;       // RTT sample baseline for the ack
   };
 
-  /// Per-contact NewSetStubs pacing toward a suspected peer: while the peer
-  /// is suspected, periodic re-sends are spaced out exponentially instead of
-  /// every LGC period (NSS is an idempotent full-state replacement, so
-  /// deferral only delays acyclic collection).
-  struct NssGate {
-    std::uint32_t level = 0;
-    SimTime next_ok = 0;
-  };
-
   RefId fresh_ref_id() { return make_ref_id(pid_, next_ref_counter_++); }
 
   void send(ProcessId dst, const MessagePayload& msg);
@@ -251,6 +242,13 @@ class Process {
   void on_cdm(ProcessId src, const CdmMsg& msg);
   void on_evicted_nack(ProcessId src, const EvictedNackMsg& msg);
   void on_nss_solicit(ProcessId src);
+
+  /// Lease recovery for the change-driven NewSetStubs cadence, run every
+  /// LGC: a holder of confirmed scions that has sent no NewSetStubs for two
+  /// leases (2 × scion_pending_grace_us) is asked for one with NssSolicit —
+  /// its last message, e.g. the empty set that retired us as a contact, may
+  /// have been lost. At most one probe per holder per two leases.
+  void solicit_quiet_holders();
 
   /// Permanent-failure escalation, run at the top of every LGC: commits a
   /// peer dead after `peer_death_timeout_us` of sustained suspicion. Scion
@@ -302,14 +300,14 @@ class Process {
   std::uint64_t next_ref_counter_ = 1;
   std::uint64_t next_call_id_ = 1;
   std::uint64_t next_handshake_ = 1;
-  std::map<ProcessId, std::uint64_t> nss_seq_;  // NewSetStubs export sequence
-  std::set<ProcessId> contacts_;                // processes that ever held our stubs' targets
+  /// Holder-side NewSetStubs cadence: contacts, export sequences, leases.
+  NssPacer nss_pacer_{cfg_.scion_pending_grace_us,
+                      cfg_.scion_pending_grace_us * cfg_.scion_pending_expiry_factor};
 
   std::map<std::uint64_t, PendingInvoke> pending_invokes_;
   std::map<std::uint64_t, Handshake> handshakes_;
   PeerHealthTracker peer_health_{cfg_, env_.metrics()};
   std::unique_ptr<Batcher> batcher_;
-  std::map<ProcessId, NssGate> nss_gates_;
   /// call_id → (callee, send time); RTT samples for replies. Bounded; calls
   /// whose reply never arrives age out by insertion order (ids ascend).
   std::map<std::uint64_t, std::pair<ProcessId, SimTime>> inflight_calls_;
@@ -326,9 +324,10 @@ class Process {
   /// eviction enabled); the silence baseline for scion holders we have
   /// never heard from at all.
   SimTime evict_watch_since_ = 0;
-  /// Scion-holder lease probes: when each silent holder was last sent an
-  /// NssSolicit. An entry whose send time is newer than the holder's
-  /// last_heard means the probe went unanswered — a timeout strike.
+  /// Scion-holder probes: when each silent holder was last sent an
+  /// NssSolicit. For the eviction escalation, an entry whose send time is
+  /// newer than the holder's last_heard means the probe went unanswered — a
+  /// timeout strike; for the lease recovery it rate-limits the probes.
   std::map<ProcessId, SimTime> nss_solicits_;
   bool self_evicted_ = false;
   std::function<void(ProcessId)> self_evicted_hook_;

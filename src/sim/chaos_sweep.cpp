@@ -67,6 +67,11 @@ ChaosSweepResult run_chaos_sweep(const ChaosSweepParams& p) {
 
     // Fault-free warmup: every process snapshots the full structure.
     rt.run_for(p.warmup_us);
+    {
+      const Metrics warm = rt.total_metrics();
+      res.warmup_suspect_transitions = warm.peer_suspect_transitions.get();
+      res.warmup_nss_deferred = warm.new_set_stubs_deferred.get();
+    }
 
     // Make everything planted garbage, and give the owners a few snapshot
     // periods to persist the root drops before the first crash can hit.
@@ -135,6 +140,11 @@ ChaosSweepResult run_chaos_sweep(const ChaosSweepParams& p) {
     res.new_set_stubs_shed = total.new_set_stubs_shed.get();
     res.detections_deferred = total.detections_deferred_backoff.get();
     res.add_scion_abandoned = total.add_scion_abandoned.get();
+    if (!res.healthy_warmup()) {
+      detail << "false suspicion on the fault-free warmup (suspects="
+             << res.warmup_suspect_transitions << " nss_deferred="
+             << res.warmup_nss_deferred << "); ";
+    }
     res.detail = detail.str();
   }
 

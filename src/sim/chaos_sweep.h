@@ -9,7 +9,9 @@
 // network's independent latency draws), a rotating bidirectional link
 // partition, and a crash/restart rotation. When the faults lift, the system
 // must have collected every planted cycle and must never have touched a
-// sentinel — safety under degradation, completeness after it.
+// sentinel — safety under degradation, completeness after it. The
+// fault-free warmup doubles as the failure detector's oracle: a healthy
+// network must produce zero suspicions and zero deferred NewSetStubs.
 //
 // Also provides the adaptive-vs-fixed backoff comparison: the same scenario
 // under sustained loss, run once with the adaptive-degradation layer and
@@ -63,6 +65,9 @@ struct ChaosSweepParams {
 struct ChaosSweepResult {
   bool cycles_collected = false;  // every Fig. 3 AND Fig. 4 object reclaimed
   bool live_lost = false;         // some sentinel object was collected
+  // Failure-detector verdicts during the fault-free warmup (must be zero).
+  std::uint64_t warmup_suspect_transitions = 0;
+  std::uint64_t warmup_nss_deferred = 0;
   std::size_t crashes = 0;
   std::size_t recovered = 0;      // restarts that found a usable snapshot
   // Degradation-layer observability (end-of-storm totals).
@@ -74,7 +79,10 @@ struct ChaosSweepResult {
   std::uint64_t add_scion_abandoned = 0;
   std::string detail;             // human-readable diagnosis on failure
 
-  bool ok() const { return cycles_collected && !live_lost; }
+  bool healthy_warmup() const {
+    return warmup_suspect_transitions == 0 && warmup_nss_deferred == 0;
+  }
+  bool ok() const { return cycles_collected && !live_lost && healthy_warmup(); }
 };
 
 /// Runs one composed-fault sweep; deterministic in `params.seed`.

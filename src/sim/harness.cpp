@@ -108,4 +108,22 @@ void settle_manual(Runtime& rt, int rounds, SimTime flush_us) {
   }
 }
 
+WireCost wire_cost(const Metrics& mutated, const Metrics& idle_start, const Metrics& end,
+                   std::size_t procs, SimTime idle_us) {
+  WireCost w;
+  w.invocations = mutated.invocations_sent.get();
+  const std::uint64_t control =
+      mutated.messages_sent.get() - w.invocations - mutated.replies_sent.get();
+  if (w.invocations > 0) {
+    w.ctrl_msgs_per_invoke = static_cast<double>(control) / static_cast<double>(w.invocations);
+  }
+  const double idle_proc_s = static_cast<double>(procs) * static_cast<double>(idle_us) / 1e6;
+  if (idle_proc_s > 0) {
+    w.idle_msgs_per_proc_s =
+        static_cast<double>(end.messages_sent.get() - idle_start.messages_sent.get()) /
+        idle_proc_s;
+  }
+  return w;
+}
+
 }  // namespace adgc::sim

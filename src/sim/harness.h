@@ -38,4 +38,17 @@ RuntimeConfig fast_config(std::uint64_t seed = 42);
 /// Only meaningful with manual_config. `flush_us` bounds message latency.
 void settle_manual(Runtime& rt, int rounds, SimTime flush_us = 50'000);
 
+/// The collector's wire cost over a workload run: control messages
+/// (everything but invocations and replies) per invocation up to
+/// `mutated`, and messages per process-second over the idle window from
+/// `idle_start` to `end` (`idle_us` long, `procs` processes).
+struct WireCost {
+  std::uint64_t invocations = 0;
+  double ctrl_msgs_per_invoke = 0;
+  double idle_msgs_per_proc_s = 0;
+};
+
+WireCost wire_cost(const Metrics& mutated, const Metrics& idle_start, const Metrics& end,
+                   std::size_t procs, SimTime idle_us);
+
 }  // namespace adgc::sim

@@ -31,6 +31,7 @@ TEST_P(ChaosSweep, SurvivesComposedFaults) {
       << "COMPLETENESS seed=" << p.seed << ": " << res.detail;
   EXPECT_EQ(res.crashes, res.recovered) << "a restart failed to recover";
   EXPECT_GT(res.messages_lost, 0u) << "the storm did not actually bite";
+  EXPECT_TRUE(res.healthy_warmup()) << "seed=" << p.seed << ": " << res.detail;
 }
 
 // The acceptance bar: ≥10 seeds at 10% loss / 5% duplication with rotating

@@ -83,8 +83,8 @@ TEST_F(TombstoneTest, SuspectedCountFallsOnRecovery) {
 }
 
 TEST_F(TombstoneTest, IdleSlotsPrunedSuspectedRetained) {
-  tracker.on_send(1, 1000);
-  tracker.on_send(2, 1000);
+  tracker.on_send(1, 1000, /*expects_answer=*/true);
+  tracker.on_send(2, 1000, /*expects_answer=*/true);
   for (std::uint32_t i = 0; i < cfg.suspect_after_failures; ++i) {
     tracker.on_timeout(2, 1100 + i);
   }

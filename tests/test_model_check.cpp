@@ -244,6 +244,35 @@ TEST(McExplore, LossBudgetSafetyHolds) {
       << describe(res.failure->trace);
 }
 
+// Reference listing under NewSetStubs reordering and loss: the
+// install/invoke/listing race (a listing built before the holder installed a
+// stub arrives after an invocation through it confirmed the scion), contact
+// retirement and readmission, all against the scion-stub-backing oracle.
+// PCT rather than DFS: the race needs an early listing held back across
+// several later deliveries, which bounded DFS (reordering only the tail of
+// the schedule) does not reach; these seeds find it within a few dozen
+// schedules when the invocation is allowed to make absence authoritative.
+TEST(McExplore, NssPctSeedsAreViolationFree) {
+  for (std::uint32_t loss : {0u, 2u}) {
+    for (std::uint64_t seed : {3ull, 4ull, 5ull}) {
+      ExplorerOptions opts;
+      opts.scenario = ScenarioKind::kNss;
+      opts.seed = seed;
+      opts.max_steps = 40;
+      opts.max_schedules = 300 * soak_mult();
+      opts.loss_budget = loss;
+      PctStrategy pct(seed, /*change_points=*/3, opts.max_steps);
+      Explorer ex(opts);
+      const ExploreResult res = ex.explore(pct);
+      EXPECT_FALSE(res.failure.has_value())
+          << "seed " << seed << " loss " << loss << ": "
+          << res.failure->violation.value_or("") << "\n"
+          << describe(res.failure->trace);
+      EXPECT_GT(res.messages_delivered, 0u);
+    }
+  }
+}
+
 TEST(McExplore, CrashBudgetSafetyHolds) {
   ExplorerOptions opts;
   opts.scenario = ScenarioKind::kFig3;

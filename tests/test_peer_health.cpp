@@ -5,6 +5,8 @@
 #include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/net/peer_health.h"
+#include "src/rt/runtime.h"
+#include "src/sim/harness.h"
 
 namespace adgc {
 namespace {
@@ -62,7 +64,7 @@ TEST_F(PeerHealthTest, AccrualSuspectsSilentPeerOnlyWhileContacting) {
   // Idle peer: no outstanding traffic, arbitrarily long silence is fine.
   EXPECT_FALSE(tracker.suspected(1, 1'000'000'000));
   // Outstanding traffic + silence beyond phi * max(srtt, floor) suspects.
-  tracker.on_send(1, 1000);
+  tracker.on_send(1, 1000, /*expects_answer=*/true);
   const double srtt = std::max(tracker.srtt_us(1),
                                static_cast<double>(cfg.suspect_rtt_floor_us));
   const SimTime limit = 1000 + static_cast<SimTime>(cfg.suspect_phi * srtt);
@@ -75,7 +77,7 @@ TEST_F(PeerHealthTest, NeverHeardPeerSuspectedOnlyByTimeouts) {
   // answers. Phi accrual stays off — there is no observed RTT to accrue
   // against, and suspecting every cold peer on a clock delays collection —
   // so suspicion comes from the explicit retry-timeout half instead.
-  for (int i = 0; i < 1000; ++i) tracker.on_send(1, 5000);
+  for (int i = 0; i < 1000; ++i) tracker.on_send(1, 5000, /*expects_answer=*/true);
   EXPECT_EQ(tracker.outstanding(1), 1000u);
   EXPECT_FALSE(tracker.suspected(1, 1'000'000'000));
   EXPECT_DOUBLE_EQ(tracker.phi(1, 1'000'000'000), 0.0);
@@ -91,7 +93,7 @@ TEST_F(PeerHealthTest, IdleGapDoesNotCountAsSilence) {
   // from the resume, not across the idle gap — otherwise every first send
   // after an idle period instantly suspects the peer under wall clocks.
   tracker.on_response(1, 1000, 1000);
-  tracker.on_send(1, 500'000'000);  // resume after ~500s idle
+  tracker.on_send(1, 500'000'000, /*expects_answer=*/true);  // resume after ~500s idle
   EXPECT_FALSE(tracker.suspected(1, 500'000'001));
   const double srtt = std::max(tracker.srtt_us(1),
                                static_cast<double>(cfg.suspect_rtt_floor_us));
@@ -101,20 +103,58 @@ TEST_F(PeerHealthTest, IdleGapDoesNotCountAsSilence) {
 }
 
 TEST_F(PeerHealthTest, OutstandingWindowResetsOnLife) {
-  for (int i = 0; i < 10; ++i) tracker.on_send(1, 10);
+  for (int i = 0; i < 10; ++i) tracker.on_send(1, 10, /*expects_answer=*/true);
   EXPECT_EQ(tracker.outstanding(1), 10u);
   tracker.on_heard(1, 50);
   EXPECT_EQ(tracker.outstanding(1), 0u);
   // The next send opens a fresh accrual window at its own timestamp.
-  tracker.on_send(1, 60);
+  tracker.on_send(1, 60, /*expects_answer=*/true);
   EXPECT_DOUBLE_EQ(tracker.phi(1, 60), 0.0);
+}
+
+TEST_F(PeerHealthTest, OneWaySendsNeverOpenTheWindow) {
+  // NewSetStubs and CDMs are never answered by a healthy peer: however many
+  // of them leave, the peer is not silent toward us in any meaningful sense.
+  tracker.on_response(1, 1000, 1000);
+  for (int i = 0; i < 1000; ++i) tracker.on_send(1, 2000 + i, /*expects_answer=*/false);
+  EXPECT_EQ(tracker.outstanding(1), 0u);
+  EXPECT_DOUBLE_EQ(tracker.phi(1, 1'000'000'000), 0.0);
+  EXPECT_FALSE(tracker.suspected(1, 1'000'000'000));
+  // An answer-expecting send opens the window at its own timestamp.
+  tracker.on_send(1, 5000, /*expects_answer=*/true);
+  EXPECT_EQ(tracker.outstanding(1), 1u);
+  EXPECT_TRUE(tracker.suspected(1, 1'000'000'000));
 }
 
 TEST_F(PeerHealthTest, PhiDiagnostics) {
   EXPECT_DOUBLE_EQ(tracker.phi(1, 100), 0.0);  // never contacted
   tracker.on_response(1, 4000, 1000);          // srtt 4000 > floor 2000
-  tracker.on_send(1, 1000);
+  tracker.on_send(1, 1000, /*expects_answer=*/true);
   EXPECT_DOUBLE_EQ(tracker.phi(1, 9000), 2.0);  // 8000us silence / 4000us srtt
+}
+
+// A healthy network produces zero suspicions. The holder invokes its owner
+// once (so the owner has been heard and has an RTT sample), then only lists
+// its stub in one-way NewSetStubs; the owner — a pure owner — never has
+// anything to say back. It must never be suspected, and nothing the holder
+// sends it may be deferred.
+TEST(PeerHealthProcess, SilentOwnerOfOneWayTrafficIsNeverSuspected) {
+  Runtime rt(2, sim::fast_config(3));
+  const ObjectId a{0, rt.proc(0).create_object()};
+  const ObjectId b{1, rt.proc(1).create_object()};
+  rt.proc(0).add_root(a.seq);
+  rt.proc(1).add_root(b.seq);
+  const RefId ref = rt.link(a, b);
+  rt.proc(0).invoke(a.seq, ref, InvokeEffect::kTouch);
+  rt.run_for(2'000'000);
+
+  const Metrics m = rt.total_metrics();
+  EXPECT_EQ(m.replies_received.get(), 1u);
+  EXPECT_GT(m.new_set_stubs_sent.get(), 0u);
+  EXPECT_EQ(m.peer_suspect_transitions.get(), 0u);
+  EXPECT_EQ(m.new_set_stubs_deferred.get(), 0u);
+  EXPECT_FALSE(rt.proc(0).peer_health().suspected(1, rt.now()));
+  EXPECT_TRUE(rt.proc(1).heap().exists(b.seq));
 }
 
 TEST(BackoffDelayTest, GrowsExponentiallyWithinJitterBounds) {

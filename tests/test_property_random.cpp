@@ -99,12 +99,17 @@ INSTANTIATE_TEST_SUITE_P(
 // Edges created through real RMI (scion-first handshakes, stub installs)
 // instead of the direct construction shortcut. Loss-free: the shadow oracle
 // requires deterministic delivery of the invocation effects.
+// Seeds 5 and 21 hit the install/invoke/NewSetStubs race: a listing built
+// before the holder installed a stub arrived after an invocation through it
+// had confirmed the scion, and used to delete it (a live reference left
+// dangling; "invocation for collected scion" warnings at the owner).
 INSTANTIATE_TEST_SUITE_P(
     RmiEdges, CollectorProperties,
     ::testing::Values(PropertyParams{21, 3, 0.0, 25, true},
                       PropertyParams{22, 4, 0.0, 30, true},
                       PropertyParams{23, 6, 0.0, 25, true},
-                      PropertyParams{24, 4, 0.0, 40, true}));
+                      PropertyParams{24, 4, 0.0, 40, true},
+                      PropertyParams{5, 3, 0.0, 30, true}));
 
 // A focused adversarial property: randomized *invocation churn* on a fixed
 // garbage-to-be cycle while snapshots/detections fire freely. The cycle must

@@ -187,6 +187,16 @@ TEST(Threaded, LossyNetworkStillConverges) {
     rt.post_sync(next, [&](Process& p) { er = p.export_own_object(objs[next], pid); });
     rt.post_sync(pid, [&](Process& p) { p.install_ref(objs[pid], er); });
   }
+  // The collector is quiet enough that an unrooted three-object ring can be
+  // reclaimed before the network drops anything. Keep the ring live until
+  // the collector's own traffic (every-LGC NewSetStubs while the stubs are
+  // young) has provably met the loss, so the reclamation below starts from
+  // a lossy history. (Not invocations: a lost call or reply desynchronizes
+  // the stub and scion invocation counters for good.)
+  for (int i = 0; i < 500 && rt.total_metrics().messages_lost.get() == 0; ++i) {
+    sleep_ms(10);
+  }
+  ASSERT_GT(rt.total_metrics().messages_lost.get(), 0u);
   for (ProcessId pid = 0; pid < 3; ++pid) {
     rt.post_sync(pid, [&, pid](Process& p) { p.remove_root(objs[pid]); });
   }

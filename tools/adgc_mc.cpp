@@ -29,7 +29,7 @@ constexpr cli::FlagSpec kFlags[] = {
                         "delay (delay-bounded dfs; bound = --preemptions), pct\n"
                         "(randomized priorities with --preemptions change points),\n"
                         "replay (re-execute --trace-in) (default dfs)"},
-    {"--scenario", "X", "fig1 | fig3 | fig4 | fig5 | race | evict (default fig3)"},
+    {"--scenario", "X", "fig1 | fig3 | fig4 | fig5 | race | evict | nss (default fig3)"},
     {"--steps", "N", "max decisions per schedule (default 60)"},
     {"--schedules", "N", "max schedules to explore (default 10000)"},
     {"--preemptions", "N", "delay bound (delay) / priority change points (pct)\n"

@@ -21,8 +21,15 @@
 // adaptive-degradation layer on and off and reports the retry traffic of
 // both (the graceful-degradation acceptance numbers).
 //
+// Every workload run also reports its wire cost: control messages (all but
+// invocations and replies) per invocation over the mutation phase, and
+// messages per process-second over the last (idle) stretch of the settle.
+//
 // Exit status: 0 if the run converged (no garbage left, no live object
-// lost), 1 otherwise — usable as a soak-test in CI loops.
+// lost) and — on a fault-free run (no loss, duplication or crashes) — the
+// failure detector stayed silent (zero suspect transitions, zero deferred
+// NewSetStubs), 1 otherwise — usable as a soak-test in CI loops.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -141,7 +148,8 @@ void print_usage(std::FILE* out, const char* argv0) {
       "Runs a randomized distributed mutator workload on the simulated runtime\n"
       "with the full collector stack, then reports convergence and protocol\n"
       "metrics. Exit status 0 iff the run converged (no garbage left, no live\n"
-      "object lost) -- usable as a soak test in CI loops.\n"
+      "object lost) and, without --loss/--dup/--crash-every, no peer was ever\n"
+      "suspected -- usable as a soak test in CI loops.\n"
       "\n"
       "workload mode flags (--batch-flush-us default: %llu):\n",
       static_cast<unsigned long long>(ProcessConfig{}.batch_flush_us));
@@ -255,6 +263,9 @@ int main(int argc, char** argv) {
     const sim::ChaosSweepResult res = sim::run_chaos_sweep(cp);
     std::printf("  crashes=%zu recovered=%zu messages_lost=%llu\n", res.crashes,
                 res.recovered, static_cast<unsigned long long>(res.messages_lost));
+    std::printf("  warmup (fault-free): suspects=%llu nss_deferred=%llu\n",
+                static_cast<unsigned long long>(res.warmup_suspect_transitions),
+                static_cast<unsigned long long>(res.warmup_nss_deferred));
     std::printf("  suspects=%llu cdms_shed=%llu nss_shed=%llu deferred=%llu "
                 "abandoned_handshakes=%llu\n",
                 static_cast<unsigned long long>(res.suspect_transitions),
@@ -266,7 +277,8 @@ int main(int argc, char** argv) {
       std::printf("CHAOS FAILED: %s\n", res.detail.c_str());
       return 1;
     }
-    std::printf("CHAOS OK: all planted cycles reclaimed, no live object lost.\n");
+    std::printf("CHAOS OK: all planted cycles reclaimed, no live object lost, "
+                "no false suspicion.\n");
     return 0;
   }
 
@@ -339,9 +351,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  const Metrics mutated = rt.total_metrics();
   std::printf("mutation done; settling for %llu ms (simulated)...\n",
               static_cast<unsigned long long>(opt.settle_ms));
-  rt.run_for(opt.settle_ms * 1000);
+  // The last stretch of the settle (at most 2 s) is the idle window: no
+  // mutation, and by then the garbage is long gone.
+  const SimTime settle_us = opt.settle_ms * 1000;
+  const SimTime idle_us = std::min<SimTime>(settle_us, 2'000'000);
+  rt.run_for(settle_us - idle_us);
+  const Metrics idle_start = rt.total_metrics();
+  rt.run_for(idle_us);
 
   const sim::GlobalStats st = sim::global_stats(rt);
   const auto live = workload.shadow().live();
@@ -354,6 +373,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(totals.peer_suspect_transitions.get()),
               static_cast<unsigned long long>(totals.cdms_shed.get()),
               static_cast<unsigned long long>(totals.new_set_stubs_shed.get()));
+  const sim::WireCost wire = sim::wire_cost(mutated, idle_start, totals, opt.procs, idle_us);
+  std::printf("traffic: invocations=%llu ctrl_msgs_per_invoke=%.2f "
+              "idle_msgs_per_proc_s=%.2f\n",
+              static_cast<unsigned long long>(wire.invocations), wire.ctrl_msgs_per_invoke,
+              wire.idle_msgs_per_proc_s);
   std::printf("\nprotocol metrics:\n%s", totals.report("  ").c_str());
 
   if (!opt.obs_dump.empty()) {
@@ -372,6 +396,18 @@ int main(int argc, char** argv) {
   if (!crash_dir.empty()) std::filesystem::remove_all(crash_dir);
   if (!workload.converged()) {
     std::printf("\nNOT CONVERGED (garbage left or live objects missing)\n");
+    return 1;
+  }
+  // A healthy network produces no suspicion: every peer answers what
+  // expects an answer, so a suspect transition or a deferred NewSetStubs on
+  // a fault-free run is a failure-detector bug, not degradation.
+  const bool fault_free = opt.loss == 0 && opt.dup == 0 && opt.crash_every == 0;
+  if (fault_free && (totals.peer_suspect_transitions.get() > 0 ||
+                     totals.new_set_stubs_deferred.get() > 0)) {
+    std::printf("\nFALSE SUSPICION on a fault-free network: suspects=%llu "
+                "nss_deferred=%llu\n",
+                static_cast<unsigned long long>(totals.peer_suspect_transitions.get()),
+                static_cast<unsigned long long>(totals.new_set_stubs_deferred.get()));
     return 1;
   }
   std::printf("\nCONVERGED: heap == oracle live set on every process.\n");

@@ -11,9 +11,11 @@
 // and any format drift fails loudly.
 //
 // Gate classes, chosen by field name:
-//   * wire counts (msgs_per_rmi, bytes_per_rmi, messages, cdms, cdm_bytes):
-//     current must be <= baseline * 1.02 — ANY real increase in per-RMI
-//     message cost is a regression; the 2% headroom absorbs TCP retry
+//   * wire counts (msgs_per_rmi, bytes_per_rmi, messages, cdms, cdm_bytes,
+//     ctrl_msgs_per_invoke, idle_msgs_per_proc_s): current must be <=
+//     baseline * 1.02 — ANY real increase in per-RMI message cost, or in the
+//     collector's control traffic per invocation or per idle
+//     process-second, is a regression; the 2% headroom absorbs TCP retry
 //     nondeterminism only.
 //   * *reduction_pct: must not drop more than 5 points below baseline
 //     (the batching win must persist).
@@ -136,7 +138,8 @@ Gate classify(const std::string& name) {
     return Gate::kIdentity;
   }
   if (name == "msgs_per_rmi" || name == "bytes_per_rmi" || name == "messages" ||
-      name == "cdms" || name == "cdm_bytes" || name == "persist_failures") {
+      name == "cdms" || name == "cdm_bytes" || name == "persist_failures" ||
+      name == "ctrl_msgs_per_invoke" || name == "idle_msgs_per_proc_s") {
     return Gate::kCount;
   }
   if (ends_with(name, "reduction_pct")) return Gate::kReduction;
